@@ -53,6 +53,7 @@ import numpy as np
 from repro.graph.connectivity import largest_component_vertices
 from repro.graph.generators import erdos_renyi_graph, grid_graph, rmat_graph
 from repro.graph.weights import assign_uniform_weights
+from repro.harness.reporting import host_meta
 from repro.native import native_status, warmup
 from repro.shortest_paths.backends import (
     available_backends,
@@ -336,6 +337,7 @@ def main(argv: list[str] | None = None) -> int:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "machine": platform.machine(),
+            **host_meta(Path(__file__).resolve().parent),
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "gated_backend": GATED_BACKEND,
             "native_backend": NATIVE_BACKEND,

@@ -77,6 +77,7 @@ from repro.core.voronoi_visitor import VoronoiProgram
 from repro.graph.connectivity import largest_component_vertices
 from repro.graph.generators import erdos_renyi_graph, grid_graph, rmat_graph
 from repro.graph.weights import assign_uniform_weights
+from repro.harness.reporting import host_meta
 from repro.native import native_status, warmup
 from repro.runtime.engines import (
     available_engines,
@@ -476,6 +477,7 @@ def main(argv: list[str] | None = None) -> int:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "machine": platform.machine(),
+            **host_meta(Path(__file__).resolve().parent),
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "gated_engine": GATED_ENGINE,
             "mp_engine": MP_ENGINE,

@@ -50,6 +50,7 @@ import numpy as np
 from repro.graph.connectivity import largest_component_vertices
 from repro.graph.generators import erdos_renyi_graph, grid_graph, rmat_graph
 from repro.graph.weights import assign_uniform_weights
+from repro.harness.reporting import host_meta
 from repro.serve import SolverService
 
 #: ratio names the check gate understands
@@ -339,6 +340,7 @@ def main(argv: list[str] | None = None) -> int:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "machine": platform.machine(),
+            **host_meta(Path(__file__).resolve().parent),
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "gated_ratios": [BATCH_RATIO, CACHE_RATIO],
         },

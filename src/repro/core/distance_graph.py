@@ -68,11 +68,19 @@ class DistanceGraph:
         return int(self.cell_s.size)
 
     def seed_indices(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(si, ti)`` rows as indices into :attr:`seeds` (for MST)."""
-        lookup = {int(s): i for i, s in enumerate(self.seeds)}
-        si = np.asarray([lookup[int(s)] for s in self.cell_s], dtype=np.int64)
-        ti = np.asarray([lookup[int(t)] for t in self.cell_t], dtype=np.int64)
-        return si, ti
+        """``(si, ti)`` rows as indices into :attr:`seeds` (for MST).
+
+        :attr:`seeds` need not be sorted: a stable argsort plus a binary
+        search maps each cell id back to its position.
+        """
+        seeds = np.asarray(self.seeds, dtype=np.int64)
+        order = np.argsort(seeds, kind="stable")
+        ranked = seeds[order]
+
+        def index_of(cells: np.ndarray) -> np.ndarray:
+            return order[np.searchsorted(ranked, cells, side="right") - 1]
+
+        return index_of(self.cell_s), index_of(self.cell_t)
 
 
 def build_distance_graph(
@@ -83,40 +91,90 @@ def build_distance_graph(
 ) -> DistanceGraph:
     """Vectorised global construction of ``G'1`` / ``EN``.
 
-    One lexsort over the cross-cell edge candidates groups them by cell
-    pair and places the winner — smallest ``(d', u, v)`` — first in each
-    group.
+    Each cross-cell edge is keyed by its dense cell-pair index
+    ``rank(s) * k + rank(t)`` (ranks in sorted seed order, so rows come
+    out ordered by ``(s, t)``).  One argsort of the packed
+    ``pair * (dmax + 1) + d'`` finds every pair's minimum ``d'``; only
+    the rows that reach it are then ordered by ``(u, v)`` to pick the
+    smallest bridge.  If the packed key could overflow int64, a 4-key
+    lexsort over all candidates does the same selection.
+
+    Every ``src`` entry must be one of ``seeds`` or ``NO_VERTEX``, as in
+    any Voronoi diagram over ``seeds``; ``seeds`` may be in any order.
     """
     eu, ev, ew = graph.edge_array()
-    ok = (src[eu] != NO_VERTEX) & (src[ev] != NO_VERTEX)
-    cross = ok & (src[eu] != src[ev])
-    eu, ev, ew = eu[cross], ev[cross], ew[cross]
-    if eu.size == 0:
+    su, sv = src[eu], src[ev]
+    cross = (su != NO_VERTEX) & (sv != NO_VERTEX) & (su != sv)
+    if not cross.any():
         empty = np.zeros(0, dtype=np.int64)
         return DistanceGraph(seeds, empty, empty, empty, empty, empty)
+    eu, ev, ew, su, sv = eu[cross], ev[cross], ew[cross], su[cross], sv[cross]
 
-    s_arr = np.minimum(src[eu], src[ev])
-    t_arr = np.maximum(src[eu], src[ev])
-    d_arr = dist[eu] + ew + dist[ev]
     # orient the bridge so u lies in the smaller-id cell
-    swap = src[eu] != s_arr
+    swap = su > sv
+    s_arr = np.where(swap, sv, su)
+    t_arr = np.where(swap, su, sv)
     bu = np.where(swap, ev, eu)
     bv = np.where(swap, eu, ev)
+    d_arr = dist[eu] + ew + dist[ev]
 
-    key = s_arr * np.int64(graph.n_vertices) + t_arr
-    order = np.lexsort((bv, bu, d_arr, key))
-    key, s_arr, t_arr = key[order], s_arr[order], t_arr[order]
-    bu, bv, d_arr = bu[order], bv[order], d_arr[order]
-    first = np.ones(key.size, dtype=bool)
-    first[1:] = key[1:] != key[:-1]
+    ranked = np.sort(np.asarray(seeds, dtype=np.int64))
+    k = ranked.size
+    dmax = int(d_arr.max())
+    if k * k * (dmax + 1) >= 2**62:
+        winners = _lexsort_winners(s_arr * np.int64(graph.n_vertices) + t_arr,
+                                   d_arr, bu, bv)
+    else:
+        pair = np.searchsorted(ranked, s_arr) * np.int64(k) + np.searchsorted(ranked, t_arr)
+        winners = _packed_winners(pair, d_arr, bu, bv, dmax + 1)
     return DistanceGraph(
         seeds=seeds,
-        cell_s=s_arr[first],
-        cell_t=t_arr[first],
-        u=bu[first],
-        v=bv[first],
-        dprime=d_arr[first],
+        cell_s=s_arr[winners],
+        cell_t=t_arr[winners],
+        u=bu[winners],
+        v=bv[winners],
+        dprime=d_arr[winners],
     )
+
+
+def _first_of_group(keys: np.ndarray) -> np.ndarray:
+    """Mask of the first row of each run of equal ``keys`` (sorted)."""
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return first
+
+
+def _packed_winners(
+    pair: np.ndarray,
+    d: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
+    span: int,
+) -> np.ndarray:
+    """Row of the smallest ``(d, u, v)`` per ``pair``, in ``pair`` order.
+
+    Requires ``0 <= d < span`` and ``pair.max() * span`` within int64.
+    """
+    packed = pair * np.int64(span) + d
+    order = np.argsort(packed)
+    packed = packed[order]
+    first = _first_of_group(packed // span)
+    group_min = packed[first][np.cumsum(first) - 1]
+    # rows at their pair's minimum d'; ties are broken by (u, v)
+    cand = order[packed == group_min]
+    cand = cand[np.lexsort((v[cand], u[cand], pair[cand]))]
+    return cand[_first_of_group(pair[cand])]
+
+
+def _lexsort_winners(
+    key: np.ndarray,
+    d: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
+) -> np.ndarray:
+    """:func:`_packed_winners` by one 4-key lexsort (any magnitudes)."""
+    order = np.lexsort((v, u, d, key))
+    return order[_first_of_group(key[order])]
 
 
 def local_min_edge_costs(
@@ -132,25 +190,12 @@ def local_min_edge_costs(
     must ship that endpoint's ``(src, dist)`` once per (vertex, holding
     rank) pair — the halo exchange.  Phase time is the slowest rank's
     scan-plus-send plus one network latency for the exchange wave.
-    """
-    u, v, _, arc_rank = partition.arc_arrays()
-    owner = partition.owner
-    # halo records: state of x shipped to holding rank h, for x in {u, v}
-    remote_v = arc_rank != owner[v]
-    remote_u = arc_rank != owner[u]
-    halo_keys = np.concatenate(
-        [
-            v[remote_v] * np.int64(partition.n_ranks) + arc_rank[remote_v],
-            u[remote_u] * np.int64(partition.n_ranks) + arc_rank[remote_u],
-        ]
-    )
-    n_halo = int(np.unique(halo_keys).size) if halo_keys.size else 0
 
-    arcs_per_rank = partition.local_arc_count()
-    recv_per_rank = np.zeros(partition.n_ranks, dtype=np.int64)
-    if halo_keys.size:
-        dest = np.unique(halo_keys) % partition.n_ranks
-        recv_per_rank = np.bincount(dest, minlength=partition.n_ranks)
+    The halo counts depend on the partition alone, so
+    :attr:`PartitionedGraph.halo_counts` computes them once per
+    partition; each call only prices them under ``machine``.
+    """
+    n_halo, arcs_per_rank, recv_per_rank = partition.halo_counts
     per_rank = (
         arcs_per_rank * machine.t_edge_scan
         + recv_per_rank * machine.t_visit

@@ -152,6 +152,8 @@ def _cmd_solve(args) -> int:
             f"  {p.name:<24} {fmt_time(p.sim_time):>8}  "
             f"msgs={fmt_si(p.n_messages)}"
         )
+    if "sweep_wall_s" in res.provenance:
+        print(f"  backend sweep (host wall) {fmt_time(res.provenance['sweep_wall_s'])}")
     return 0
 
 

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+from pathlib import Path
 from typing import Iterable, Sequence
 
-__all__ = ["fmt_time", "fmt_si", "fmt_bytes", "render_table", "render_stacked"]
+__all__ = [
+    "fmt_time", "fmt_si", "fmt_bytes", "host_meta", "render_table", "render_stacked",
+]
 
 
 def fmt_time(seconds: float) -> str:
@@ -36,6 +41,19 @@ def fmt_bytes(n: int) -> str:
         if n >= scale:
             return f"{n / scale:.1f}{suffix}"
     return f"{n}B"
+
+
+def host_meta(checkout: Path) -> dict[str, object]:
+    """Provenance for a benchmark record: the host's CPU count and the git
+    commit of ``checkout`` (``None`` when it is not a git work tree)."""
+    try:
+        sha: str | None = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=checkout, capture_output=True, text=True, check=True, timeout=10,
+        ).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        sha = None
+    return {"cpu_count": os.cpu_count(), "git_sha": sha}
 
 
 def render_table(

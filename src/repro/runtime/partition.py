@@ -18,6 +18,7 @@ graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -96,6 +97,38 @@ class PartitionedGraph:
         g = self.graph
         u = np.repeat(np.arange(g.n_vertices, dtype=np.int64), np.diff(g.indptr))
         return u, g.indices, g.weights, self.arc_rank
+
+    def halo_keys(self) -> np.ndarray:
+        """Sorted unique halo records ``x * n_ranks + h``: the state of
+        vertex ``x`` shipped to rank ``h``, which holds an arc incident
+        to ``x`` but does not own ``x``."""
+        u, v, _, arc_rank = self.arc_arrays()
+        remote_v = arc_rank != self.owner[v]
+        remote_u = arc_rank != self.owner[u]
+        n_ranks = np.int64(self.n_ranks)
+        return np.unique(
+            np.concatenate(
+                [
+                    v[remote_v] * n_ranks + arc_rank[remote_v],
+                    u[remote_u] * n_ranks + arc_rank[remote_u],
+                ]
+            )
+        )
+
+    @cached_property
+    def halo_counts(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """``(n_halo, arcs_per_rank, recv_per_rank)`` of the halo exchange
+        that precedes the edge-centric distance-graph scan.
+
+        These depend on the partition alone, never on the seed set, so
+        they are computed once and kept.
+        """
+        keys = self.halo_keys()
+        arcs_per_rank = self.local_arc_count()
+        recv_per_rank = np.bincount(keys % self.n_ranks, minlength=self.n_ranks)
+        arcs_per_rank.flags.writeable = False
+        recv_per_rank.flags.writeable = False
+        return int(keys.size), arcs_per_rank, recv_per_rank
 
     def cut_arc_count(self) -> int:
         """Arcs whose endpoint states live on different ranks — the

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.harness.datasets import DATASETS, SEED_COUNTS, load_dataset
@@ -10,6 +12,7 @@ from repro.harness.reporting import (
     fmt_bytes,
     fmt_si,
     fmt_time,
+    host_meta,
     render_stacked,
     render_table,
 )
@@ -88,6 +91,19 @@ class TestReporting:
     def test_render_stacked_zero_total(self):
         out = render_stacked("empty", {"phase": 0.0})
         assert "phase" in out
+
+    def test_host_meta_outside_a_git_tree(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+        meta = host_meta(tmp_path)
+        assert meta["cpu_count"] >= 1
+        assert meta["git_sha"] is None
+
+    def test_host_meta_names_the_checkout_commit(self):
+        root = Path(__file__).resolve().parent.parent
+        if not (root / ".git").exists():
+            pytest.skip("not a git checkout")
+        meta = host_meta(root)
+        assert meta["git_sha"] is None or len(meta["git_sha"]) == 40
 
 
 class TestRegistry:

@@ -152,6 +152,16 @@ class TestDistributedResult:
             distributed_steiner_tree(g, [0, 5], config=SolverConfig(n_ranks=2))
         assert exc.value.unreached  # names the unreachable seeds
 
+    def test_backend_sweep_wall_is_provenance_not_sim_time(self, random_graph):
+        seeds = component_seeds(random_graph, 4, seed=12)
+        res = distributed_steiner_tree(
+            random_graph, seeds, config=SolverConfig(voronoi_backend="delta-numpy")
+        )
+        assert res.provenance["sweep"] == "backend"
+        assert res.phases[0].sim_time == 0.0
+        assert res.provenance["sweep_wall_s"] > 0
+        assert res.sim_time() == sum(p.sim_time for p in res.phases[1:])
+
     def test_wall_time_recorded(self, random_graph):
         seeds = component_seeds(random_graph, 3, seed=10)
         res = distributed_steiner_tree(random_graph, seeds)
