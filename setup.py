@@ -15,7 +15,9 @@ setup(
     # PEP 561: the package ships inline type annotations
     package_data={"repro": ["py.typed"]},
     python_requires=">=3.10",
-    install_requires=["numpy"],
+    # both packed-key reductions (delta-numpy relaxations, the batched
+    # BSP superstep) rely on the ufunc.at fast path of NumPy 1.25
+    install_requires=["numpy>=1.25"],
     extras_require={
         "scipy": ["scipy"],
         "native": ["numba"],

@@ -166,37 +166,59 @@ class VoronoiProgram:
         Per vertex, a superstep under the total :meth:`sort_key` order
         accepts exactly the lexicographic-minimum improving candidate
         (every later candidate compares ``>=`` the adopted state, so the
-        improvement test fails) — computed here as a sorted per-vertex
-        reduction instead of one Python callback per message.
+        improvement test fails) — computed here as a per-vertex array
+        reduction instead of one Python callback per message:
+
+        1. drop every candidate that fails the improvement test
+           ``(r, t) < (dist, src)``, the cheap necessary ``r <= dist``
+           first (exact: when a vertex's minimum candidate does not
+           improve it, no candidate does);
+        2. reduce the survivors' packed key ``r * n + t`` (``t < n``
+           keeps the packing order-preserving) with ``np.minimum.at``,
+           then break ``(r, t)`` ties on ``vp`` with a second
+           ``np.minimum.at`` over the rows at their vertex's minimum;
+        3. when the packed key could overflow int64, take the same
+           minimum with a 4-key lexsort instead.
+
+        Accepted vertices come out in ascending id order either way.
         """
-        vp, t, r = payload[:, 0], payload[:, 1], payload[:, 2]
+        dist = self.dist[targets]
+        # r <= dist is necessary for an improvement and holds for every
+        # seed bootstrap row (r == 0 <= dist), so it cuts the inbox first
+        rows = np.flatnonzero(payload[:, 2] <= dist)
+        tgt = targets[rows]
+        vp, t, r = payload[rows, 0], payload[rows, 1], payload[rows, 2]
         # seed bootstrap messages expand unconditionally (Alg. 3 init)
-        boot = (vp == targets) & (t == targets) & (r == 0)
-        cand = ~boot
-        acc_v = acc_t = acc_r = np.zeros(0, dtype=np.int64)
-        if cand.any():
-            tgt_c, vp_c, t_c, r_c = targets[cand], vp[cand], t[cand], r[cand]
-            # per-vertex lexicographic minimum of (r, t, vp): sort by
-            # (tgt, r, t, vp) and keep each vertex's first row.  (A
-            # packed np.minimum.at reduction would need (r, t, vp) to
-            # fit one int64, which astronomical weights rule out.)
+        boot = (r == 0) & (vp == tgt) & (t == tgt)
+        keep = np.flatnonzero(~boot & ((r < dist[rows]) | (t < self.src[tgt])))
+        tgt_c, vp_c, t_c, r_c = tgt[keep], vp[keep], t[keep], r[keep]
+        n = self.dist.size
+        if tgt_c.size == 0:
+            acc_v = acc_t = acc_r = acc_p = tgt_c
+        elif int(r_c.max()) <= (INF - n) // n:
+            key = r_c * n + t_c
+            best = np.full(n, INF, dtype=np.int64)
+            np.minimum.at(best, tgt_c, key)
+            on_min = key == best[tgt_c]
+            best_p = np.full(n, INF, dtype=np.int64)
+            np.minimum.at(best_p, tgt_c[on_min], vp_c[on_min])
+            acc_v = np.nonzero(best != INF)[0]
+            acc_key = best[acc_v]
+            acc_r = acc_key // n
+            acc_t = acc_key - acc_r * n
+            acc_p = best_p[acc_v]
+        else:
             order = np.lexsort((vp_c, t_c, r_c, tgt_c))
             tgt_s = tgt_c[order]
             first = np.ones(tgt_s.size, dtype=bool)
             first[1:] = tgt_s[1:] != tgt_s[:-1]
             sel = order[first]
-            v, rv, tv, pv = tgt_c[sel], r_c[sel], t_c[sel], vp_c[sel]
-            improve = (rv < self.dist[v]) | (
-                (rv == self.dist[v]) & (tv < self.src[v])
-            )
-            acc_v, acc_r, acc_t, acc_p = (
-                v[improve], rv[improve], tv[improve], pv[improve],
-            )
-            self.dist[acc_v] = acc_r
-            self.src[acc_v] = acc_t
-            self.pred[acc_v] = acc_p
+            acc_v, acc_r, acc_t, acc_p = tgt_c[sel], r_c[sel], t_c[sel], vp_c[sel]
+        self.dist[acc_v] = acc_r
+        self.src[acc_v] = acc_t
+        self.pred[acc_v] = acc_p
         self._batch_expand(
-            np.concatenate([targets[boot], acc_v]),
+            np.concatenate([tgt[boot], acc_v]),
             np.concatenate([t[boot], acc_t]),
             np.concatenate([r[boot], acc_r]),
             emitter,
@@ -312,24 +334,22 @@ class VoronoiProgram:
             if vs.size == 0:
                 return
         indptr = self._indptr
-        starts = indptr[vs].astype(np.int64)
-        counts = (indptr[vs + 1] - indptr[vs]).astype(np.int64)
+        starts = indptr[vs]
+        counts = indptr[vs + 1] - starts
         total = int(counts.sum())
         if total == 0:
             return
         offsets = np.cumsum(counts) - counts
-        arc_idx = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(offsets, counts)
-            + np.repeat(starts, counts)
+        arc_idx = np.arange(total, dtype=np.int64) + np.repeat(
+            starts - offsets, counts
         )
         out = np.empty((total, 3), dtype=np.int64)
         out[:, 0] = np.repeat(vs, counts)
         out[:, 1] = np.repeat(ts, counts)
         out[:, 2] = np.repeat(rs, counts) + self._weights[arc_idx]
         emitter.emit(
-            np.repeat(owner[vs], counts).astype(np.int64),
-            self._indices[arc_idx].astype(np.int64),
+            np.repeat(owner[vs], counts).astype(np.int64, copy=False),
+            self._indices[arc_idx],
             out,
         )
 

@@ -130,9 +130,12 @@ def run_batch_superstep(
         program.batch_visit_rank(
             -targets[is_rank] - 1, payload[is_rank], emitter
         )
-    vmask = ~is_rank
-    if vmask.any():
-        program.batch_visit(targets[vmask], payload[vmask], emitter)
+        vmask = ~is_rank
+        if vmask.any():
+            program.batch_visit(targets[vmask], payload[vmask], emitter)
+    elif targets.size:
+        # no rank-addressed message: the whole inbox is the vertex part
+        program.batch_visit(targets, payload, emitter)
     return emitter.drain()
 
 

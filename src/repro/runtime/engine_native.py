@@ -6,9 +6,9 @@ acceptances, same emissions, same local/remote message counts, same
 superstep count — but runs the whole inner superstep (neighbour gather,
 per-vertex lexicographic-min reduction, per-rank visit/emit cost
 accounting) as **one compiled kernel** instead of a chain of NumPy
-dispatches (``np.lexsort`` + first-occurrence mask + ``np.repeat``
-gather + three ``np.bincount`` calls).  On 1M-edge graphs the NumPy
-chain is dispatch-bound; the fused kernel is not (see
+dispatches (improvement filter + packed-key ``np.minimum.at`` reduction
++ ``np.repeat`` gather + three ``np.bincount`` calls).  On 1M-edge
+graphs the NumPy chain is dispatch-bound; the fused kernel is not (see
 ``benchmarks/bench_engines.py``, scale suite).
 
 Native-path requirements (all checked per phase, with a transparent

@@ -10,9 +10,11 @@ Meyer–Sanders Δ-stepping schedule with *bucket-wide* NumPy relaxations:
   set;
 * all out-arcs of the frontier are gathered in one shot (``np.repeat``
   over the CSR offsets — no per-vertex slicing);
-* the lexicographic ``(dist, owner)`` winner per target vertex is
-  selected with a single ``np.lexsort`` + first-occurrence reduction,
-  replacing the per-edge compare-and-swap.
+* candidates that do not improve their target are dropped, and the
+  lexicographic ``(dist, owner)`` winner per target vertex among the
+  rest is a packed ``dist * n + owner`` key reduced with
+  ``np.minimum.at``, replacing the per-edge compare-and-swap (a lexsort
+  takes over when the packed key could overflow int64).
 
 Per bucket phase the Python interpreter executes O(1) statements; all
 per-edge work happens inside compiled NumPy kernels.  On the ~100K-arc
